@@ -16,6 +16,19 @@ cargo test -q --workspace
 echo "==> cargo test -q --features trace (event-trace hooks)"
 cargo test -q -p mlpwin-ooo --features trace
 
+echo "==> simbench build guard (benchmark tests + a short checked ilp run)"
+# The repository benchmark is a package of its own that compiles against
+# the sim crate's public API (journal codec, json, runner). Build and
+# test it, then run it briefly: every simulated result must match the
+# single-stepped reference, or the result line says "correct": false.
+cargo test --release --manifest-path simbench/Cargo.toml
+bench_line=$(bash simbench/run.sh --workload ilp --seed 1 --seconds 5 --trace 0 | tail -n 1)
+echo "    $bench_line"
+if ! grep -q '"correct": true' <<< "$bench_line"; then
+    echo "FAIL: simbench result line is not correct"
+    exit 1
+fi
+
 echo "==> mlpwin-bench --smoke (BENCH.json schema gate)"
 cargo run --release -q -p mlpwin-bench --bin mlpwin-bench -- --smoke --out results/BENCH_smoke.json
 

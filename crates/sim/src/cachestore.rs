@@ -59,10 +59,17 @@ impl CacheStore {
     ///
     /// Journal I/O failures.
     pub fn absorb_file(&mut self, path: &Path) -> Result<(), SimError> {
-        for (spec, result) in Journal::new(path).load()? {
-            self.insert(&spec, &result);
-        }
+        self.absorb(Journal::new(path).load()?);
         Ok(())
+    }
+
+    /// Moves decoded journal entries into the cache (first-wins).
+    pub(crate) fn absorb(&mut self, entries: impl IntoIterator<Item = (RunSpec, RunResult)>) {
+        for (spec, result) in entries {
+            self.by_hash
+                .entry(spec_hash(&spec))
+                .or_insert((spec, result));
+        }
     }
 
     /// Inserts one entry (first-wins).

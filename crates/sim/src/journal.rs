@@ -16,13 +16,14 @@
 //!   re-run so they produce fresh diagnostics.
 
 use crate::error::SimError;
-use crate::json::{num, s, Json};
+use crate::json::{num, read_fields, s, Json, Reader};
 use crate::model::SimModel;
 use crate::runner::{FaultSpec, RunResult, RunSpec};
 use mlpwin_branch::PredictorStats;
 use mlpwin_memsys::ProvenanceStats;
 use mlpwin_ooo::{CoreStats, IntervalSample, LevelSpec, CPI_BUCKETS};
 use mlpwin_workloads::Category;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -389,165 +390,272 @@ pub fn encode_line(spec: &RunSpec, result: &RunResult) -> String {
 }
 
 // --------------------------------------------------------------- decoding
+//
+// Every reader of specs and results decodes through these functions: a
+// `Reader` pulls each field straight into its struct, with no tree in
+// between. Keys may come in any order, unknown keys are skipped, and a
+// missing or mistyped field rejects the record.
 
-fn get_u64(v: &Json, key: &str) -> Option<u64> {
-    v.get(key)?.as_u64()
+fn read_owned(r: &mut Reader) -> Result<String, String> {
+    r.string().map(Cow::into_owned)
 }
 
-pub(crate) fn decode_spec(v: &Json) -> Option<RunSpec> {
-    let fault = match v.get("fault")? {
-        Json::Null => None,
-        f => {
-            if let Some(n) = get_u64(f, "panic_at") {
-                Some(FaultSpec::PanicAt(n))
-            } else {
-                Some(FaultSpec::LivelockAt(get_u64(f, "livelock_at")?))
-            }
-        }
-    };
-    Some(RunSpec {
-        profile: v.get("profile")?.as_str()?.to_string(),
-        model: SimModel::from_tag(v.get("model")?.as_str()?)?,
-        warmup: get_u64(v, "warmup")?,
-        insts: get_u64(v, "insts")?,
-        seed: get_u64(v, "seed")?,
-        watchdog_cycles: match v.get("watchdog")? {
-            Json::Null => None,
-            n => Some(n.as_u64()?),
-        },
-        deadline_cycles: match v.get("deadline")? {
-            Json::Null => None,
-            n => Some(n.as_u64()?),
-        },
+fn read_opt_u64(r: &mut Reader) -> Result<Option<u64>, String> {
+    r.nullable(Reader::u64)
+}
+
+fn narrow(n: u64) -> Result<u32, String> {
+    u32::try_from(n).map_err(|_| format!("{n} does not fit 32 bits"))
+}
+
+fn read_u32(r: &mut Reader) -> Result<u32, String> {
+    narrow(r.u64()?)
+}
+
+fn read_usize(r: &mut Reader) -> Result<usize, String> {
+    let n = r.u64()?;
+    usize::try_from(n).map_err(|_| format!("{n} does not fit a usize"))
+}
+
+/// An array of fixed-width counter rows.
+fn read_rows<const N: usize>(r: &mut Reader) -> Result<Vec<[u64; N]>, String> {
+    let mut rows = Vec::new();
+    r.array(|r| {
+        let row = r.u64s()?;
+        let len = row.len();
+        rows.push(<[u64; N]>::try_from(row).map_err(|_| format!("row of {len}, expected {N}"))?);
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+fn read_model(r: &mut Reader) -> Result<SimModel, String> {
+    let tag = r.string()?;
+    SimModel::from_tag(&tag).ok_or_else(|| format!("unknown model `{tag}`"))
+}
+
+fn read_fault(r: &mut Reader) -> Result<Option<FaultSpec>, String> {
+    r.nullable(|r| {
+        read_fields!(r, {} optional {
+            "panic_at" => panic_at: Reader::u64,
+            "livelock_at" => livelock_at: Reader::u64,
+        });
+        panic_at
+            .map(FaultSpec::PanicAt)
+            .or(livelock_at.map(FaultSpec::LivelockAt))
+            .ok_or_else(|| "fault names no kind".to_string())
+    })
+}
+
+pub(crate) fn read_spec(r: &mut Reader) -> Result<RunSpec, String> {
+    read_fields!(r, {
+        "profile" => profile: read_owned,
+        "model" => model: read_model,
+        "warmup" => warmup: Reader::u64,
+        "insts" => insts: Reader::u64,
+        "seed" => seed: Reader::u64,
+        "watchdog" => watchdog_cycles: read_opt_u64,
+        "deadline" => deadline_cycles: read_opt_u64,
+        "fault" => fault: read_fault,
+        "intervals" => interval_cycles: read_opt_u64,
+    });
+    Ok(RunSpec {
+        profile,
+        model,
+        warmup,
+        insts,
+        seed,
+        watchdog_cycles,
+        deadline_cycles,
         fault,
-        interval_cycles: match v.get("intervals")? {
-            Json::Null => None,
-            n => Some(n.as_u64()?),
-        },
+        interval_cycles,
     })
 }
 
-fn decode_u64_arr(v: &Json, key: &str) -> Option<Vec<u64>> {
-    v.get(key)?.as_arr()?.iter().map(Json::as_u64).collect()
+/// Decodes a spec embedded in an already-parsed tree (wire frames, WAL
+/// records) with the same reader as journal lines.
+pub(crate) fn spec_from_json(v: &Json) -> Option<RunSpec> {
+    read_spec(&mut Reader::new(&v.encode())).ok()
 }
 
-fn decode_cpi_stack(v: &Json) -> Option<Vec<[u64; CPI_BUCKETS]>> {
-    v.as_arr()?
-        .iter()
-        .map(|row| {
-            let vals: Vec<u64> = row
-                .as_arr()?
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<_>>()?;
-            <[u64; CPI_BUCKETS]>::try_from(vals).ok()
-        })
-        .collect()
-}
-
-fn decode_intervals(v: &Json) -> Option<Vec<IntervalSample>> {
-    v.as_arr()?
-        .iter()
-        .map(|sample| {
-            let f: Vec<u64> = sample
-                .as_arr()?
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<_>>()?;
-            let [end_cycle, committed_insts, level, rob_occ, iq_occ, lsq_occ, outstanding] =
-                <[u64; 7]>::try_from(f).ok()?;
-            Some(IntervalSample {
-                end_cycle,
-                committed_insts,
-                level: u32::try_from(level).ok()?,
-                rob_occ: u32::try_from(rob_occ).ok()?,
-                iq_occ: u32::try_from(iq_occ).ok()?,
-                lsq_occ: u32::try_from(lsq_occ).ok()?,
-                outstanding_misses: u32::try_from(outstanding).ok()?,
-            })
-        })
-        .collect()
-}
-
-pub(crate) fn decode_stats(v: &Json) -> Option<CoreStats> {
-    Some(CoreStats {
-        cycles: get_u64(v, "cycles")?,
-        committed_insts: get_u64(v, "committed_insts")?,
-        committed_loads: get_u64(v, "committed_loads")?,
-        committed_stores: get_u64(v, "committed_stores")?,
-        committed_branches: get_u64(v, "committed_branches")?,
-        committed_cond_branches: get_u64(v, "committed_cond_branches")?,
-        committed_mispredicts: get_u64(v, "committed_mispredicts")?,
-        load_latency_sum: get_u64(v, "load_latency_sum")?,
-        level_cycles: decode_u64_arr(v, "level_cycles")?,
-        cpi_stack: decode_cpi_stack(v.get("cpi_stack")?)?,
-        intervals: decode_intervals(v.get("intervals")?)?,
-        transitions_up: get_u64(v, "transitions_up")?,
-        transitions_down: get_u64(v, "transitions_down")?,
-        stall_transition: get_u64(v, "stall_transition")?,
-        stall_shrink_wait: get_u64(v, "stall_shrink_wait")?,
-        stall_rob_full: get_u64(v, "stall_rob_full")?,
-        stall_iq_full: get_u64(v, "stall_iq_full")?,
-        stall_lsq_full: get_u64(v, "stall_lsq_full")?,
-        stall_fetch_empty: get_u64(v, "stall_fetch_empty")?,
-        dispatched_total: get_u64(v, "dispatched_total")?,
-        issued_total: get_u64(v, "issued_total")?,
-        squashes: get_u64(v, "squashes")?,
-        wrongpath_dispatched: get_u64(v, "wrongpath_dispatched")?,
-        runahead_episodes: get_u64(v, "runahead_episodes")?,
-        runahead_cycles: get_u64(v, "runahead_cycles")?,
-        runahead_suppressed: get_u64(v, "runahead_suppressed")?,
-        runahead_short_skips: get_u64(v, "runahead_short_skips")?,
-        runahead_useful_episodes: get_u64(v, "runahead_useful_episodes")?,
-    })
-}
-
-pub(crate) fn decode_result(v: &Json, spec: RunSpec) -> Option<RunResult> {
-    let p = v.get("predictor")?;
-    let pr = v.get("provenance")?;
-    Some(RunResult {
-        spec,
-        category: match v.get("category")?.as_str()? {
-            "mem" => Category::MemoryIntensive,
-            "comp" => Category::ComputeIntensive,
-            _ => return None,
-        },
-        stats: decode_stats(v.get("stats")?)?,
-        predictor: PredictorStats {
-            conditional_branches: get_u64(p, "conditional_branches")?,
-            unconditional_branches: get_u64(p, "unconditional_branches")?,
-            direction_mispredicts: get_u64(p, "direction_mispredicts")?,
-            target_mispredicts: get_u64(p, "target_mispredicts")?,
-            btb_hits: get_u64(p, "btb_hits")?,
-            btb_misses: get_u64(p, "btb_misses")?,
-        },
-        provenance: ProvenanceStats {
-            corrpath_useful: get_u64(pr, "corrpath_useful")?,
-            corrpath_useless: get_u64(pr, "corrpath_useless")?,
-            wrongpath_useful: get_u64(pr, "wrongpath_useful")?,
-            wrongpath_useless: get_u64(pr, "wrongpath_useless")?,
-            prefetch_useful: get_u64(pr, "prefetch_useful")?,
-            prefetch_useless: get_u64(pr, "prefetch_useless")?,
-        },
-        l2_miss_cycles: decode_u64_arr(v, "l2_miss_cycles")?,
-        l1_accesses: get_u64(v, "l1_accesses")?,
-        l2_accesses: get_u64(v, "l2_accesses")?,
-        dram_lines: get_u64(v, "dram_lines")?,
-        avg_load_latency: v.get("avg_load_latency")?.as_f64()?,
-        levels: v
-            .get("levels")?
-            .as_arr()?
-            .iter()
-            .map(|l| {
-                Some(LevelSpec {
-                    iq: get_u64(l, "iq")? as usize,
-                    rob: get_u64(l, "rob")? as usize,
-                    lsq: get_u64(l, "lsq")? as usize,
-                    iq_depth: get_u64(l, "iq_depth")? as u32,
-                    extra_mispredict_penalty: get_u64(l, "extra_mispredict_penalty")? as u32,
+fn read_intervals(r: &mut Reader) -> Result<Vec<IntervalSample>, String> {
+    read_rows::<7>(r)?
+        .into_iter()
+        .map(
+            |[end_cycle, committed_insts, level, rob_occ, iq_occ, lsq_occ, outstanding]| {
+                Ok(IntervalSample {
+                    end_cycle,
+                    committed_insts,
+                    level: narrow(level)?,
+                    rob_occ: narrow(rob_occ)?,
+                    iq_occ: narrow(iq_occ)?,
+                    lsq_occ: narrow(lsq_occ)?,
+                    outstanding_misses: narrow(outstanding)?,
                 })
-            })
-            .collect::<Option<Vec<_>>>()?,
+            },
+        )
+        .collect()
+}
+
+pub(crate) fn read_stats(r: &mut Reader) -> Result<CoreStats, String> {
+    read_fields!(r, {
+        "cycles" => cycles: Reader::u64,
+        "committed_insts" => committed_insts: Reader::u64,
+        "committed_loads" => committed_loads: Reader::u64,
+        "committed_stores" => committed_stores: Reader::u64,
+        "committed_branches" => committed_branches: Reader::u64,
+        "committed_cond_branches" => committed_cond_branches: Reader::u64,
+        "committed_mispredicts" => committed_mispredicts: Reader::u64,
+        "load_latency_sum" => load_latency_sum: Reader::u64,
+        "level_cycles" => level_cycles: Reader::u64s,
+        "cpi_stack" => cpi_stack: read_rows::<CPI_BUCKETS>,
+        "intervals" => intervals: read_intervals,
+        "transitions_up" => transitions_up: Reader::u64,
+        "transitions_down" => transitions_down: Reader::u64,
+        "stall_transition" => stall_transition: Reader::u64,
+        "stall_shrink_wait" => stall_shrink_wait: Reader::u64,
+        "stall_rob_full" => stall_rob_full: Reader::u64,
+        "stall_iq_full" => stall_iq_full: Reader::u64,
+        "stall_lsq_full" => stall_lsq_full: Reader::u64,
+        "stall_fetch_empty" => stall_fetch_empty: Reader::u64,
+        "dispatched_total" => dispatched_total: Reader::u64,
+        "issued_total" => issued_total: Reader::u64,
+        "squashes" => squashes: Reader::u64,
+        "wrongpath_dispatched" => wrongpath_dispatched: Reader::u64,
+        "runahead_episodes" => runahead_episodes: Reader::u64,
+        "runahead_cycles" => runahead_cycles: Reader::u64,
+        "runahead_suppressed" => runahead_suppressed: Reader::u64,
+        "runahead_short_skips" => runahead_short_skips: Reader::u64,
+        "runahead_useful_episodes" => runahead_useful_episodes: Reader::u64,
+    });
+    Ok(CoreStats {
+        cycles,
+        committed_insts,
+        committed_loads,
+        committed_stores,
+        committed_branches,
+        committed_cond_branches,
+        committed_mispredicts,
+        load_latency_sum,
+        level_cycles,
+        cpi_stack,
+        intervals,
+        transitions_up,
+        transitions_down,
+        stall_transition,
+        stall_shrink_wait,
+        stall_rob_full,
+        stall_iq_full,
+        stall_lsq_full,
+        stall_fetch_empty,
+        dispatched_total,
+        issued_total,
+        squashes,
+        wrongpath_dispatched,
+        runahead_episodes,
+        runahead_cycles,
+        runahead_suppressed,
+        runahead_short_skips,
+        runahead_useful_episodes,
+    })
+}
+
+fn read_category(r: &mut Reader) -> Result<Category, String> {
+    match &*r.string()? {
+        "mem" => Ok(Category::MemoryIntensive),
+        "comp" => Ok(Category::ComputeIntensive),
+        other => Err(format!("unknown category `{other}`")),
+    }
+}
+
+fn read_predictor(r: &mut Reader) -> Result<PredictorStats, String> {
+    read_fields!(r, {
+        "conditional_branches" => conditional_branches: Reader::u64,
+        "unconditional_branches" => unconditional_branches: Reader::u64,
+        "direction_mispredicts" => direction_mispredicts: Reader::u64,
+        "target_mispredicts" => target_mispredicts: Reader::u64,
+        "btb_hits" => btb_hits: Reader::u64,
+        "btb_misses" => btb_misses: Reader::u64,
+    });
+    Ok(PredictorStats {
+        conditional_branches,
+        unconditional_branches,
+        direction_mispredicts,
+        target_mispredicts,
+        btb_hits,
+        btb_misses,
+    })
+}
+
+fn read_provenance(r: &mut Reader) -> Result<ProvenanceStats, String> {
+    read_fields!(r, {
+        "corrpath_useful" => corrpath_useful: Reader::u64,
+        "corrpath_useless" => corrpath_useless: Reader::u64,
+        "wrongpath_useful" => wrongpath_useful: Reader::u64,
+        "wrongpath_useless" => wrongpath_useless: Reader::u64,
+        "prefetch_useful" => prefetch_useful: Reader::u64,
+        "prefetch_useless" => prefetch_useless: Reader::u64,
+    });
+    Ok(ProvenanceStats {
+        corrpath_useful,
+        corrpath_useless,
+        wrongpath_useful,
+        wrongpath_useless,
+        prefetch_useful,
+        prefetch_useless,
+    })
+}
+
+fn read_levels(r: &mut Reader) -> Result<Vec<LevelSpec>, String> {
+    let mut levels = Vec::new();
+    r.array(|r| {
+        read_fields!(r, {
+            "iq" => iq: read_usize,
+            "rob" => rob: read_usize,
+            "lsq" => lsq: read_usize,
+            "iq_depth" => iq_depth: read_u32,
+            "extra_mispredict_penalty" => extra_mispredict_penalty: read_u32,
+        });
+        levels.push(LevelSpec {
+            iq,
+            rob,
+            lsq,
+            iq_depth,
+            extra_mispredict_penalty,
+        });
+        Ok(())
+    })?;
+    Ok(levels)
+}
+
+/// Reads a result body. Its `spec` is not part of the body (a record
+/// may carry the spec after the result), so it is left empty for the
+/// caller to fill in.
+pub(crate) fn read_result(r: &mut Reader) -> Result<RunResult, String> {
+    read_fields!(r, {
+        "category" => category: read_category,
+        "stats" => stats: read_stats,
+        "predictor" => predictor: read_predictor,
+        "provenance" => provenance: read_provenance,
+        "l2_miss_cycles" => l2_miss_cycles: Reader::u64s,
+        "l1_accesses" => l1_accesses: Reader::u64,
+        "l2_accesses" => l2_accesses: Reader::u64,
+        "dram_lines" => dram_lines: Reader::u64,
+        "avg_load_latency" => avg_load_latency: Reader::f64,
+        "levels" => levels: read_levels,
+    });
+    Ok(RunResult {
+        spec: RunSpec::new("", SimModel::Base),
+        category,
+        stats,
+        predictor,
+        provenance,
+        l2_miss_cycles,
+        l1_accesses,
+        l2_accesses,
+        dram_lines,
+        avg_load_latency,
+        levels,
         // Host-side engine telemetry is not journaled (the skip schedule
         // may differ between the engines while results stay identical).
         engine: Default::default(),
@@ -568,21 +676,32 @@ pub fn line_schema(line: &str) -> Option<u64> {
 /// unknown schema, or with a hash that does not match its own spec (a
 /// hand-edit or corruption).
 pub fn decode_line(line: &str) -> Option<(RunSpec, RunResult)> {
-    let v = Json::parse(line).ok()?;
-    let schema = v
-        .get("schema")
-        .and_then(Json::as_u64)
-        .or_else(|| v.get("v").and_then(Json::as_u64))?;
+    read_line(line).ok()
+}
+
+fn read_line(line: &str) -> Result<(RunSpec, RunResult), String> {
+    let mut r = Reader::new(line);
+    read_fields!(r, {
+        "hash" => hash: Reader::string,
+        "spec" => spec: read_spec,
+        "result" => result: read_result,
+    } optional {
+        "schema" => schema: Reader::u64,
+        "v" => legacy_schema: Reader::u64,
+    });
+    r.finish()?;
+    let schema = schema.or(legacy_schema).ok_or("no schema")?;
     if !KNOWN_SCHEMAS.contains(&schema) {
-        return None;
+        return Err(format!("unknown schema {schema}"));
     }
-    let spec = decode_spec(v.get("spec")?)?;
-    let recorded = v.get("hash")?.as_str()?;
-    if recorded != format!("{:016x}", spec_hash(&spec)) {
-        return None;
+    if hash != format!("{:016x}", spec_hash(&spec)) {
+        return Err("spec hash mismatch".into());
     }
-    let result = decode_result(v.get("result")?, spec.clone())?;
-    Some((spec, result))
+    let result = RunResult {
+        spec: spec.clone(),
+        ..result
+    };
+    Ok((spec, result))
 }
 
 #[cfg(test)]

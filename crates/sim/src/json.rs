@@ -1,13 +1,34 @@
-//! A minimal JSON reader/writer for the results journal.
+//! The workspace's JSON reader and writer.
 //!
-//! The workspace is deliberately dependency-free, so the journal's
-//! JSON-lines format is produced and parsed here: objects, arrays,
-//! strings, numbers, booleans and null — no more. Numbers are `f64`,
-//! which represents every counter the simulator produces exactly
-//! (integers up to 2^53; a run would need petacycles to overflow that).
+//! The workspace is deliberately dependency-free, so JSON is produced
+//! and read here: objects, arrays, strings, numbers, booleans and null
+//! — no more. Encoded documents are single-line, pure ASCII and
+//! canonical (object keys sorted).
+//!
+//! All reading goes through one byte-level pull parser, `Reader`:
+//! - It runs in time linear in the input. A string is copied a run at a
+//!   time, up to the next quote or backslash, and a value no decoder
+//!   asks for is parsed once and dropped.
+//! - An integer literal is read straight into a `u64`. Only a literal
+//!   with a fraction or an exponent goes through Rust's `f64` parser,
+//!   so floats such as a result's `avg_load_latency` round-trip
+//!   bit-exactly.
+//! - Counters are exact up to 2^53 ([`MAX_EXACT`]): `Reader::u64`
+//!   and [`Json::as_u64`] accept that range and nothing else, because
+//!   the encoder writes larger numbers as floats.
+//!
+//! Typed decoders (the journal's specs and results, split records and
+//! manifests) pull fields from a `Reader` with `read_fields!`
+//! straight into their structs; no tree is built. [`Json::parse`] is a
+//! thin tree builder on the same reader for the small documents: wire
+//! frames, WAL records, HTTP bodies and bench files.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The largest counter a JSON number carries exactly (2^53).
+pub const MAX_EXACT: u64 = 1 << 53;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,12 +56,10 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`, when it is a non-negative integer number.
+    /// The value as a `u64`, when it is an integer in `0..=MAX_EXACT`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) => exact_u64(*n),
             _ => None,
         }
     }
@@ -89,7 +108,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() <= (1u64 << 53) as f64 {
+                if n.fract() == 0.0 && n.abs() <= MAX_EXACT as f64 {
                     let _ = write!(out, "{}", *n as i64);
                 } else {
                     // `{:?}` is Rust's shortest round-trippable rendering.
@@ -124,13 +143,9 @@ impl Json {
 
     /// Parses a complete JSON document; trailing garbage is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
+        let mut reader = Reader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 }
@@ -180,175 +195,348 @@ fn write_escaped(text: &str, out: &mut String) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// `n` as a counter, when it is an integer in `0..=MAX_EXACT`.
+fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= MAX_EXACT as f64).then_some(n as u64)
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", c as char))
-    }
+/// One scanned number literal.
+enum Number {
+    /// A plain run of digits that fits a `u64`.
+    Int(u64),
+    /// Anything else the `f64` parser accepts.
+    Float(f64),
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_num(bytes, pos),
-    }
+/// A pull parser over one JSON document.
+///
+/// Each value method skips leading whitespace, consumes exactly one
+/// value and returns an error (with the byte offset) on malformed or
+/// mistyped input. Call [`finish`](Reader::finish) after the top-level
+/// value to reject trailing bytes.
+#[derive(Debug)]
+pub(crate) struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader { text, pos: 0 }
     }
-}
 
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
+    /// Ends the document: only whitespace may follow the last value.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing data at byte {}", self.pos))
+        }
     }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|t| t.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        let rest = &bytes[*pos..];
-        let Some(&b) = rest.first() else {
-            return Err("unterminated string".into());
-        };
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
+    /// Reads an object, calling `field` with each key and the reader
+    /// positioned at that key's value, which `field` must consume.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Reader<'a>, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.open(b'{')?;
+        if self.eat(b'}') {
+            return Ok(());
+        }
+        loop {
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            field(self, &key)?;
+            if self.close(b'}')? {
+                return Ok(());
             }
-            b'\\' => {
-                let esc = rest.get(1).ok_or("unterminated escape")?;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex4 = |at: usize| -> Result<u32, String> {
-                            let hex = rest.get(at..at + 4).ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".into())
-                        };
-                        let code = hex4(2)?;
-                        if (0xD800..0xDC00).contains(&code) && rest.get(6..8) == Some(b"\\u") {
-                            // A high surrogate followed by a `\u` escape:
-                            // combine the pair into one scalar value.
-                            let low = hex4(8)?;
-                            if (0xDC00..0xE000).contains(&low) {
-                                let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                out.push(char::from_u32(scalar).unwrap_or('\u{fffd}'));
-                                *pos += 10;
-                            } else {
-                                // High surrogate with a non-surrogate
-                                // escape after it: replace the orphan,
-                                // leave the second escape for the loop.
-                                out.push('\u{fffd}');
-                                *pos += 4;
-                            }
-                        } else {
-                            // A BMP scalar, or a lone surrogate (which
-                            // has no scalar value) as the replacement
-                            // character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
+        }
+    }
+
+    /// Reads an array, calling `item` once per element with the reader
+    /// positioned at it; `item` must consume the element.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Reader<'a>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.open(b'[')?;
+        if self.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            if self.close(b']')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Reads an array of counters.
+    pub fn u64s(&mut self) -> Result<Vec<u64>, String> {
+        let mut out = Vec::new();
+        self.array(|r| {
+            out.push(r.u64()?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Reads a string. It borrows from the input unless it holds
+    /// escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.skip_ws();
+        self.expect(b'"')?;
+        let mut owned: Option<String> = None;
+        loop {
+            let start = self.pos;
+            let run = self.text.as_bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            self.pos += run;
+            // Quote and backslash are ASCII, so both ends of the run are
+            // character boundaries.
+            let chunk = &self.text[start..self.pos];
+            if self.eat(b'"') {
+                return Ok(match owned {
+                    None => Cow::Borrowed(chunk),
+                    Some(mut out) => {
+                        out.push_str(chunk);
+                        Cow::Owned(out)
                     }
-                    other => return Err(format!("unknown escape \\{}", *other as char)),
+                });
+            }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(chunk);
+            self.escape(out)?;
+        }
+    }
+
+    /// Reads a counter: an integer in `0..=MAX_EXACT`.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        let at = self.pos;
+        match self.number()? {
+            Number::Int(n) if n <= MAX_EXACT => Ok(n),
+            Number::Float(x) if exact_u64(x).is_some() => Ok(x as u64),
+            _ => Err(format!("expected a counter at byte {at}")),
+        }
+    }
+
+    /// Reads any number.
+    pub fn f64(&mut self) -> Result<f64, String> {
+        Ok(match self.number()? {
+            Number::Int(n) => n as f64,
+            Number::Float(x) => x,
+        })
+    }
+
+    /// Reads `null` as `None`, anything else with `read`.
+    pub fn nullable<T>(
+        &mut self,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.skip_ws();
+        if self.eat_lit("null") {
+            Ok(None)
+        } else {
+            read(self).map(Some)
+        }
+    }
+
+    /// Reads any value as a tree.
+    pub fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        let text = self.text;
+        Ok(match text.as_bytes().get(self.pos) {
+            None => return Err("unexpected end of input".into()),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(|r, key| {
+                    map.insert(key.to_string(), r.value()?);
+                    Ok(())
+                })?;
+                Json::Obj(map)
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            Some(b'"') => Json::Str(self.string()?.into_owned()),
+            Some(b't') if self.eat_lit("true") => Json::Bool(true),
+            Some(b'f') if self.eat_lit("false") => Json::Bool(false),
+            Some(b'n') if self.eat_lit("null") => Json::Null,
+            Some(_) => Json::Num(self.f64()?),
+        })
+    }
+
+    /// Skips one value of any type, checking it is well-formed.
+    pub fn skip(&mut self) -> Result<(), String> {
+        self.value().map(drop)
+    }
+
+    fn skip_ws(&mut self) {
+        let bytes = self.text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = self.text.as_bytes().get(self.pos) == Some(&c);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn eat_lit(&mut self, lit: &str) -> bool {
+        let hit = self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes());
+        if hit {
+            self.pos += lit.len();
+        }
+        hit
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.eat(c) {
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", c as char, self.pos))
+        }
+    }
+
+    /// Consumes a container's opening bracket and the whitespace after.
+    fn open(&mut self, open: u8) -> Result<(), String> {
+        self.skip_ws();
+        self.expect(open)?;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// After a member: `true` at the container's end, `false` after a
+    /// separating comma.
+    fn close(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
+        if self.eat(b',') {
+            Ok(false)
+        } else if self.eat(close) {
+            Ok(true)
+        } else {
+            Err(format!(
+                "expected `,` or `{}` at byte {}",
+                close as char, self.pos
+            ))
+        }
+    }
+
+    /// Scans one number literal the way `f64::from_str` would see it.
+    fn number(&mut self) -> Result<Number, String> {
+        self.skip_ws();
+        let start = self.pos;
+        let rest = &self.text.as_bytes()[start..];
+        let is_float = |b: &u8| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E');
+        let (mut digits, mut n) = (0, 0u64);
+        while let Some(d @ b'0'..=b'9') = rest.get(digits).copied() {
+            n = n.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+            digits += 1;
+        }
+        // At most 19 digits cannot overflow a `u64`.
+        if (1..=19).contains(&digits) && !rest.get(digits).is_some_and(is_float) {
+            self.pos += digits;
+            return Ok(Number::Int(n));
+        }
+        let len = rest
+            .iter()
+            .take_while(|&b| b.is_ascii_digit() || is_float(b))
+            .count();
+        self.pos += len;
+        self.text[start..self.pos]
+            .parse()
+            .map(Number::Float)
+            .map_err(|_| format!("invalid number at byte {start}"))
+    }
+
+    /// Decodes the escape sequence at the cursor into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        let rest = &self.text.as_bytes()[self.pos..];
+        let esc = rest.get(1).ok_or("unterminated escape")?;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let hex4 = |at: usize| -> Result<u32, String> {
+                    let hex = rest.get(at..at + 4).ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".into())
+                };
+                let code = hex4(2)?;
+                if (0xD800..0xDC00).contains(&code) && rest.get(6..8) == Some(b"\\u") {
+                    // A high surrogate followed by a `\u` escape:
+                    // combine the pair into one scalar value.
+                    let low = hex4(8)?;
+                    if (0xDC00..0xE000).contains(&low) {
+                        let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        out.push(char::from_u32(scalar).unwrap_or('\u{fffd}'));
+                        self.pos += 10;
+                    } else {
+                        // High surrogate with a non-surrogate escape
+                        // after it: replace the orphan, leave the second
+                        // escape for the next call.
+                        out.push('\u{fffd}');
+                        self.pos += 4;
+                    }
+                } else {
+                    // A BMP scalar, or a lone surrogate (which has no
+                    // scalar value) as the replacement character.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
                 }
-                *pos += 2;
             }
-            _ => {
-                // Consume one UTF-8 code point.
-                let text = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                let c = text.chars().next().ok_or("empty string tail")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            other => return Err(format!("unknown escape \\{}", *other as char)),
         }
+        self.pos += 2;
+        Ok(())
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
+/// Reads one JSON object from a [`Reader`] into local variables named
+/// after its fields, for typed decoders that build no tree.
+///
+/// Each `"key" => name: read` arm declares `name`, read by calling
+/// `read(&mut Reader)`. Keys may come in any order, unknown keys are
+/// skipped, and a repeated key keeps its last value, as in a tree.
+/// A missing required key returns an error from the enclosing function
+/// (which must return `Result<_, String>`); the arms after `optional`
+/// leave an `Option` instead.
+macro_rules! read_fields {
+    ($r:expr, { $($key:literal => $var:ident : $read:expr),* $(,)? }
+     $(optional { $($okey:literal => $ovar:ident : $oread:expr),* $(,)? })?) => {
+        $(let mut $var = None;)*
+        $($(let mut $ovar = None;)*)?
+        $r.object(|r, key| {
+            match key {
+                $($key => $var = Some(($read)(r)?),)*
+                $($($okey => $ovar = Some(($oread)(r)?),)*)?
+                _ => r.skip()?,
             }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-        }
-    }
+            Ok(())
+        })?;
+        $(let $var = $var.ok_or(concat!("missing field `", $key, "`"))?;)*
+    };
 }
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-        }
-    }
-}
+pub(crate) use read_fields;
 
 #[cfg(test)]
 mod tests {
@@ -428,6 +616,78 @@ mod tests {
         );
         // Truncated pairs are malformed, not panics.
         assert!(Json::parse(r#""\ud83d\u12""#).is_err());
+    }
+
+    #[test]
+    fn counters_read_exactly_and_only_in_range() {
+        let counter = |text: &str| Reader::new(text).u64();
+        assert_eq!(counter("0"), Ok(0));
+        assert_eq!(counter(" 9007199254740992"), Ok(MAX_EXACT));
+        assert!(counter("9007199254740993").is_err(), "above 2^53");
+        assert!(counter("18446744073709551616").is_err(), "above u64");
+        assert_eq!(counter("1e3"), Ok(1_000), "exponent form of an integer");
+        assert_eq!(counter("7.0"), Ok(7));
+        for bad in ["-1", "2.5", "", "x", "\"1\"", "null"] {
+            assert!(counter(bad).is_err(), "`{bad}` is not a counter");
+        }
+        let float = |text: &str| Reader::new(text).f64().map(f64::to_bits);
+        for x in [0.1f64, 123.456, 1.0 / 3.0, 2.5e-300, 1.7e308] {
+            assert_eq!(float(&format!("{x:?}")), Ok(x.to_bits()), "{x:?}");
+        }
+        assert_eq!(
+            float("18446744073709551617"),
+            Ok(1.8446744073709552e19f64.to_bits())
+        );
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let mut r = Reader::new(r#" "plain" "a\"b\u0041" "#);
+        assert!(matches!(r.string(), Ok(Cow::Borrowed("plain"))));
+        assert_eq!(r.string().as_deref(), Ok("a\"bA"));
+        r.finish().expect("nothing trails");
+    }
+
+    fn read_pair(text: &str) -> Result<(u64, Vec<u64>, Option<f64>), String> {
+        let mut r = Reader::new(text);
+        read_fields!(r, {
+            "a" => a: Reader::u64,
+            "list" => list: Reader::u64s,
+        } optional {
+            "flag" => flag: Reader::f64,
+        });
+        r.finish()?;
+        Ok((a, list, flag))
+    }
+
+    #[test]
+    fn read_fields_takes_any_order_and_skips_unknown_keys() {
+        assert_eq!(
+            read_pair(r#"{"a":1,"list":[2,3]}"#),
+            Ok((1, vec![2, 3], None))
+        );
+        assert_eq!(
+            read_pair(r#"{"x":{"y":[null,true,"s"]}, "list":[], "flag":0.5, "a":4}"#),
+            Ok((4, vec![], Some(0.5)))
+        );
+        assert_eq!(
+            read_pair(r#"{"a":1,"list":[],"a":2}"#),
+            Ok((2, vec![], None)),
+            "a repeated key keeps its last value, as in a tree"
+        );
+        assert!(read_pair(r#"{"list":[]}"#).is_err(), "missing field");
+        assert!(
+            read_pair(r#"{"a":"1","list":[]}"#).is_err(),
+            "mistyped field"
+        );
+        assert!(
+            read_pair(r#"{"a":1,"list":[],"x":[1,}"#).is_err(),
+            "bad skip"
+        );
+        assert!(
+            read_pair(r#"{"a":1,"list":[]} 5"#).is_err(),
+            "trailing bytes"
+        );
     }
 
     #[test]

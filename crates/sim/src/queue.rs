@@ -42,7 +42,7 @@
 //!   interleaving records.
 
 use crate::error::SimError;
-use crate::journal::{canonical_spec, decode_spec, encode_spec, spec_hash};
+use crate::journal::{canonical_spec, encode_spec, spec_from_json, spec_hash};
 use crate::json::{num, s, Json};
 use crate::lock::LockedFile;
 use crate::metrics;
@@ -349,7 +349,7 @@ impl WalRecord {
         let job = v.get("job")?.as_u64()?;
         match v.get("op")?.as_str()? {
             "enqueue" => {
-                let spec = decode_spec(v.get("spec")?)?;
+                let spec = spec_from_json(v.get("spec")?)?;
                 // Full-spec verification of the stored hash: a record
                 // whose hash and spec disagree is corruption (or a
                 // hand-edit) and must not be replayed.

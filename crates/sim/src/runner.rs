@@ -737,15 +737,24 @@ pub fn run_matrix_with(
     let mut remaining: Vec<usize> = Vec::new();
     match &journal {
         Some(journal) => {
-            let mut done: HashMap<RunSpec, RunResult> = HashMap::new();
-            for (spec, result) in journal.load()? {
-                done.insert(spec, result);
+            let mut done: HashMap<RunSpec, RunResult> = journal.load()?.into_iter().collect();
+            // A journaled result moves into the last slot that asks for
+            // its spec; only a spec listed twice is ever cloned.
+            let mut uses: HashMap<&RunSpec, usize> = HashMap::new();
+            for spec in specs {
+                *uses.entry(spec).or_default() += 1;
             }
             for (i, spec) in specs.iter().enumerate() {
-                match done.get(spec) {
+                let left = uses.get_mut(spec).expect("every spec is counted");
+                *left -= 1;
+                let result = if *left == 0 {
+                    done.remove(spec)
+                } else {
+                    done.get(spec).cloned()
+                };
+                match result {
                     Some(result) => {
-                        *slots[i].lock().expect("slot poisoned") =
-                            Some(RunOutcome::Ok(result.clone()))
+                        *slots[i].lock().expect("slot poisoned") = Some(RunOutcome::Ok(result))
                     }
                     None => remaining.push(i),
                 }

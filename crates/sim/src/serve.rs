@@ -683,12 +683,10 @@ pub fn run_campaign(
 
     // Warm the dedup cache: this campaign's own completions (restart
     // path) first, then any external journal.
-    let mut cache = CacheStore::load(&cfg.done_path())?;
-    let mut in_done_journal: Vec<RunSpec> = Journal::new(cfg.done_path())
-        .load()?
-        .into_iter()
-        .map(|(spec, _)| spec)
-        .collect();
+    let done = Journal::new(cfg.done_path()).load()?;
+    let mut in_done_journal: Vec<RunSpec> = done.iter().map(|(spec, _)| spec.clone()).collect();
+    let mut cache = CacheStore::new();
+    cache.absorb(done);
     if let Some(external) = &cfg.cache {
         cache.absorb_file(external)?;
     }

@@ -35,10 +35,9 @@
 
 use crate::error::SimError;
 use crate::journal::{
-    decode_result, decode_spec, decode_stats, encode_result, encode_spec, encode_stats, obj,
-    spec_hash,
+    encode_result, encode_spec, encode_stats, obj, read_result, read_spec, read_stats, spec_hash,
 };
-use crate::json::{num, s, Json};
+use crate::json::{num, read_fields, s, Json, Reader};
 use crate::lock;
 use crate::metrics::{self, ScopedTimer};
 use crate::runner::{apply_spec_overrides, collect_result, RunResult, RunSpec};
@@ -300,28 +299,10 @@ impl SplitStore {
     /// presence of every boundary frame. Any defect means "no sweep".
     fn load_manifest(&self, spec: &RunSpec) -> Option<Manifest> {
         let text = fs::read_to_string(self.manifest_path()).ok()?;
-        let v = Json::parse(&text).ok()?;
-        if v.get("schema")?.as_u64()? != SPLIT_SCHEMA {
-            return None;
-        }
-        let stored = decode_spec(v.get("spec")?)?;
+        let (stored, m) = read_manifest(&text).ok()?;
         if &stored != spec {
             return None;
         }
-        let boundary_now: Vec<u64> = v
-            .get("boundary_now")?
-            .as_arr()?
-            .iter()
-            .map(|x| x.as_u64())
-            .collect::<Option<_>>()?;
-        if boundary_now.is_empty() {
-            return None;
-        }
-        let m = Manifest {
-            boundary_now,
-            final_cycles: v.get("final_cycles")?.as_u64()?,
-            final_insts: v.get("final_insts")?.as_u64()?,
-        };
         for i in 0..m.boundary_now.len() as u64 {
             if !self.boundary_path(i).is_file() {
                 return None;
@@ -377,7 +358,7 @@ impl SplitStore {
         };
         let mut by_index: std::collections::BTreeMap<u64, IntervalRecord> = Default::default();
         for line in text.lines() {
-            let Some(rec) = self.decode_record(spec, line) else {
+            let Ok(rec) = read_record(line, self.hash, spec) else {
                 continue;
             };
             by_index.insert(rec.index, rec);
@@ -385,34 +366,68 @@ impl SplitStore {
         by_index.into_values().collect()
     }
 
-    fn decode_record(&self, spec: &RunSpec, line: &str) -> Option<IntervalRecord> {
-        let v = Json::parse(line).ok()?;
-        if v.get("schema")?.as_u64()? != SPLIT_SCHEMA {
-            return None;
-        }
-        if v.get("hash")?.as_str()? != format!("{:016x}", self.hash) {
-            return None;
-        }
-        let delta = StatsDelta::from_raw(decode_stats(v.get("delta")?)?);
-        let result = match v.get("result") {
-            Some(r) => Some(decode_result(r, spec.clone())?),
-            None => None,
-        };
-        Some(IntervalRecord {
-            index: v.get("index")?.as_u64()?,
-            start_cycle: v.get("start_cycle")?.as_u64()?,
-            end_cycle: v.get("end_cycle")?.as_u64()?,
-            delta,
-            result,
-            cached: true,
-        })
-    }
-
     /// Removes the store (sweep, journal and all) — the recovery path
     /// for an unstitchable store.
     fn discard(&self) {
         let _ = fs::remove_dir_all(&self.dir);
     }
+}
+
+/// Reads a manifest: the spec it was swept for, and its contents.
+fn read_manifest(text: &str) -> Result<(RunSpec, Manifest), String> {
+    let mut r = Reader::new(text);
+    read_fields!(r, {
+        "schema" => schema: Reader::u64,
+        "spec" => spec: read_spec,
+        "boundary_now" => boundary_now: Reader::u64s,
+        "final_cycles" => final_cycles: Reader::u64,
+        "final_insts" => final_insts: Reader::u64,
+    });
+    r.finish()?;
+    if schema != SPLIT_SCHEMA {
+        return Err(format!("unknown split schema {schema}"));
+    }
+    if boundary_now.is_empty() {
+        return Err("manifest lists no boundaries".into());
+    }
+    let manifest = Manifest {
+        boundary_now,
+        final_cycles,
+        final_insts,
+    };
+    Ok((spec, manifest))
+}
+
+/// Reads one interval-result line of the store for `spec`, whose spec
+/// hash is `hash`.
+fn read_record(line: &str, hash: u64, spec: &RunSpec) -> Result<IntervalRecord, String> {
+    let mut r = Reader::new(line);
+    read_fields!(r, {
+        "schema" => schema: Reader::u64,
+        "hash" => recorded: Reader::string,
+        "index" => index: Reader::u64,
+        "start_cycle" => start_cycle: Reader::u64,
+        "end_cycle" => end_cycle: Reader::u64,
+        "delta" => delta: read_stats,
+    } optional {
+        "result" => result: read_result,
+    });
+    r.finish()?;
+    if schema != SPLIT_SCHEMA || recorded != format!("{hash:016x}") {
+        return Err("record from another schema or store".into());
+    }
+    let result = result.map(|result| RunResult {
+        spec: spec.clone(),
+        ..result
+    });
+    Ok(IntervalRecord {
+        index,
+        start_cycle,
+        end_cycle,
+        delta: StatsDelta::from_raw(delta),
+        result,
+        cached: true,
+    })
 }
 
 // ------------------------------------------------------------ the runner

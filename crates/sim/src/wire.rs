@@ -36,7 +36,7 @@
 //! the idle-tick read used by the controller's per-connection loop).
 
 use crate::error::SimError;
-use crate::journal::{decode_spec, encode_spec};
+use crate::journal::{encode_spec, spec_from_json};
 use crate::json::{num, obj, s, Json};
 use crate::queue::JobId;
 use crate::runner::RunSpec;
@@ -269,7 +269,7 @@ impl Msg {
             "lease_request" => Some(Msg::LeaseRequest),
             "lease_grant" => Some(Msg::LeaseGrant {
                 job: job()?,
-                spec: decode_spec(v.get("spec")?)?,
+                spec: spec_from_json(v.get("spec")?)?,
             }),
             "idle" => Some(Msg::Idle {
                 backoff_ms: v.get("backoff_ms")?.as_u64()?,

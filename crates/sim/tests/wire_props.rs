@@ -15,11 +15,17 @@
 //! - **Fault injection is statistical and deterministic** — a seeded
 //!   [`NetFault`] drops/duplicates within tolerance of its configured
 //!   per-mille rates, and the same seed replays the same schedule.
+//! - **Parsing is linear** — a `Result` frame carrying a megabyte-long
+//!   journal line, and a journal line with half a million miss cycles,
+//!   each decode well inside a generous wall budget (a parser quadratic
+//!   in the string length takes minutes on the first).
 
-use mlpwin_sim::runner::RunSpec;
+use mlpwin_sim::journal::{decode_line, encode_line};
+use mlpwin_sim::runner::{run, RunResult, RunSpec};
 use mlpwin_sim::wire::{encode_frame, read_frame, FaultAction, Msg, NetFault, WireError};
 use mlpwin_sim::SimModel;
 use std::io::Cursor;
+use std::time::{Duration, Instant};
 
 /// The same LCG the queue and recovery chaos suites use.
 struct Lcg(u64);
@@ -203,4 +209,44 @@ fn netfault_rates_hold_statistically_and_replay_exactly() {
     let diverged = (0..64)
         .any(|_| c.next_action().expect("no partition") != d.next_action().expect("no partition"));
     assert!(diverged, "per-connection reseeding must diverge schedules");
+}
+
+/// Wall budget for decoding one large input, debug builds included.
+const LINEAR_BUDGET: Duration = Duration::from_secs(5);
+
+/// A real result whose miss-cycle list is stretched to `misses`
+/// ascending cycles, as a long memory-bound run journals them.
+fn result_with_misses(misses: u64) -> (RunSpec, RunResult) {
+    let spec = RunSpec::new("mcf", SimModel::Dynamic).with_budget(2_000, 2_000);
+    let mut result = run(&spec).expect("healthy run");
+    result.l2_miss_cycles = (0..misses).map(|i| 100_000 + i * 37).collect();
+    (spec, result)
+}
+
+#[test]
+fn megabyte_result_frame_decodes_in_linear_time() {
+    let (spec, result) = result_with_misses(150_000);
+    let line = encode_line(&spec, &result);
+    assert!(line.len() >= 1 << 20, "the line is {} bytes", line.len());
+    let frame = encode_frame(&Msg::Result { job: 7, line });
+    let start = Instant::now();
+    let msg = read_frame(&mut Cursor::new(&frame)).expect("frame decodes");
+    let Msg::Result { job: 7, line } = msg else {
+        panic!("decoded as another message")
+    };
+    let decoded = decode_line(&line).expect("carried line decodes");
+    let took = start.elapsed();
+    assert_eq!(decoded, (spec, result));
+    assert!(took < LINEAR_BUDGET, "decoding took {took:?}");
+}
+
+#[test]
+fn half_million_miss_cycles_decode_in_linear_time() {
+    let (spec, result) = result_with_misses(500_000);
+    let line = encode_line(&spec, &result);
+    let start = Instant::now();
+    let decoded = decode_line(&line).expect("line decodes");
+    let took = start.elapsed();
+    assert_eq!(decoded, (spec, result));
+    assert!(took < LINEAR_BUDGET, "decoding took {took:?}");
 }
