@@ -43,10 +43,7 @@ fn main() {
         black_box(cache.access(black_box(addr), false, true));
     });
 
-    let mut mem = MemSystem::new(MemSystemConfig {
-        record_miss_cycles: false,
-        ..MemSystemConfig::default()
-    });
+    let mut mem = MemSystem::new(MemSystemConfig::default());
     let mut rng = Xoshiro256StarStar::seed_from(2);
     let mut now = 0u64;
     bench("memsys_load_access", || {

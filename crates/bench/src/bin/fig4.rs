@@ -6,25 +6,40 @@
 //! the 300-cycle memory latency — the window fills after a miss, stalls
 //! for the round trip, and the next miss cluster begins when it resolves.
 //!
+//! Miss-cycle recording is off by default (only this histogram reads
+//! it), so the binary builds its own core with recording turned on.
+//!
 //! ```text
 //! cargo run --release -p mlpwin-bench --bin fig4
 //! ```
 
 use mlpwin_bench::ExpArgs;
+use mlpwin_ooo::Core;
 use mlpwin_sim::report::{histogram, intervals, TextTable};
-use mlpwin_sim::runner::{run, RunSpec};
-use mlpwin_sim::SimModel;
+use mlpwin_sim::{SimError, SimModel};
+use mlpwin_workloads::profiles;
+
+/// The cycle of every L2 demand miss of soplex on the base processor.
+fn soplex_miss_cycles(args: &ExpArgs) -> Result<Vec<u64>, SimError> {
+    let (mut config, policy) = SimModel::Base.build();
+    config.memory.record_miss_cycles = true;
+    let workload = profiles::by_name("soplex", args.seed)?;
+    let mut core = Core::try_new(config, workload, policy)?;
+    if args.warmup > 0 {
+        core.run_warmup(args.warmup)?;
+    }
+    core.run(args.insts)?;
+    Ok(core.mem().stats().l2_demand_miss_cycles.clone())
+}
 
 fn main() {
     let args = ExpArgs::parse(250_000, 120_000);
-    let r = mlpwin_bench::expect_run(run(
-        &RunSpec::new("soplex", SimModel::Base).with_budget(args.warmup, args.insts)
-    ));
-    let ivals = intervals(&r.l2_miss_cycles);
+    let misses = mlpwin_bench::expect_run(soplex_miss_cycles(&args));
+    let ivals = intervals(&misses);
     println!(
         "Figure 4: histogram of L2 miss intervals, soplex (bin = 8 cycles)\n\
          misses: {}   mean interval: {:.0} cycles\n",
-        r.l2_miss_cycles.len(),
+        misses.len(),
         ivals.iter().sum::<u64>() as f64 / ivals.len().max(1) as f64
     );
     let hist = histogram(&ivals, 8);

@@ -147,7 +147,7 @@ where
 
 /// Unwraps a single run for a report binary: prints the typed error to
 /// stderr and exits non-zero on failure.
-pub fn expect_run(outcome: Result<RunResult, mlpwin_sim::SimError>) -> RunResult {
+pub fn expect_run<T>(outcome: Result<T, mlpwin_sim::SimError>) -> T {
     outcome.unwrap_or_else(|error| {
         eprintln!("run failed: {error}");
         std::process::exit(1);

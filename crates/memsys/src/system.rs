@@ -67,7 +67,9 @@ pub struct MemSystemConfig {
     /// L2 MSHR entries.
     pub l2_mshrs: usize,
     /// Whether to keep the cycle of every L2 demand miss for the Fig. 4
-    /// miss-interval histogram (costs memory on long runs).
+    /// miss-interval histogram. Off by default: the list grows with every
+    /// miss, and only the histogram reads it, so the runs that draw one
+    /// turn it on.
     pub record_miss_cycles: bool,
 }
 
@@ -84,7 +86,7 @@ impl Default for MemSystemConfig {
             // be the binding MLP resource. 256 covers a full level-3 LSQ.
             l1d_mshrs: 256,
             l2_mshrs: 256,
-            record_miss_cycles: true,
+            record_miss_cycles: false,
         }
     }
 }
@@ -102,7 +104,9 @@ pub struct MemStats {
     pub total_load_latency: u64,
     /// Fresh demand misses at the L2 (the controller's trigger events).
     pub l2_demand_misses: u64,
-    /// Cycle of each recorded demand L2 miss (Fig. 4 histogram input).
+    /// Cycle of each demand L2 miss, when
+    /// [`MemSystemConfig::record_miss_cycles`] is on; empty otherwise
+    /// (Fig. 4 histogram input).
     pub l2_demand_miss_cycles: Vec<Cycle>,
     /// Prefetch line fills actually issued to memory.
     pub prefetch_fills: u64,
@@ -310,7 +314,12 @@ impl MemSystem {
         self.stats.ifetches = r.get_u64()?;
         self.stats.total_load_latency = r.get_u64()?;
         self.stats.l2_demand_misses = r.get_u64()?;
-        self.stats.l2_demand_miss_cycles = r.get_u64_vec()?;
+        // A hierarchy that does not record keeps its list empty, even
+        // when restoring a snapshot taken by one that did.
+        let miss_cycles = r.get_u64_vec()?;
+        if self.config.record_miss_cycles {
+            self.stats.l2_demand_miss_cycles = miss_cycles;
+        }
         self.stats.prefetch_fills = r.get_u64()?;
         self.finalized = r.get_bool()?;
         Ok(())
@@ -744,10 +753,41 @@ mod tests {
 
     #[test]
     fn miss_cycles_recorded_for_histogram() {
-        let mut m = mem();
+        let mut m = MemSystem::new(MemSystemConfig {
+            record_miss_cycles: true,
+            ..MemSystemConfig::default()
+        });
         let _ = m.access(AccessKind::Load, 0x100, 0x8000_0000, 100, PathKind::Correct);
         let _ = m.access(AccessKind::Load, 0x100, 0x9000_0000, 200, PathKind::Correct);
         assert_eq!(m.stats().l2_demand_miss_cycles.len(), 2);
         assert!(m.stats().l2_demand_miss_cycles[0] >= 100);
+    }
+
+    #[test]
+    fn miss_cycles_stay_empty_unless_recording() {
+        let recording = MemSystemConfig {
+            record_miss_cycles: true,
+            ..MemSystemConfig::default()
+        };
+        let mut m = MemSystem::new(recording.clone());
+        let _ = m.access(AccessKind::Load, 0x100, 0x8000_0000, 100, PathKind::Correct);
+        let mut w = mlpwin_isa::snap::SnapWriter::new();
+        m.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let restore = |config: MemSystemConfig| {
+            let mut fresh = MemSystem::new(config);
+            let mut r = mlpwin_isa::snap::SnapReader::new(&bytes);
+            fresh.load_state(&mut r).expect("own snapshot restores");
+            r.finish().expect("snapshot fully read");
+            fresh.stats().l2_demand_miss_cycles.clone()
+        };
+        assert_eq!(restore(recording), m.stats().l2_demand_miss_cycles);
+        // A snapshot from a recording hierarchy (or an older build that
+        // always recorded) restores into a default one with no list.
+        assert!(restore(MemSystemConfig::default()).is_empty());
+        let mut plain = mem();
+        let _ = plain.access(AccessKind::Load, 0x100, 0x8000_0000, 100, PathKind::Correct);
+        assert_eq!(plain.stats().l2_demand_misses, 1);
+        assert!(plain.stats().l2_demand_miss_cycles.is_empty());
     }
 }

@@ -371,12 +371,20 @@ pub(crate) fn encode_result(result: &RunResult) -> Json {
 /// The journal record schema this build writes. Bump it when the record
 /// layout changes incompatibly; [`decode_line`] keeps accepting every
 /// schema listed in [`KNOWN_SCHEMAS`].
-pub const JOURNAL_SCHEMA: u64 = 2;
+pub const JOURNAL_SCHEMA: u64 = 3;
 
 /// Record schemas this build can decode. Schema 1 is the legacy layout
 /// whose version lived in a `"v"` field; schema 2 renamed it to
-/// `"schema"` with an otherwise identical record body.
-pub const KNOWN_SCHEMAS: &[u64] = &[1, JOURNAL_SCHEMA];
+/// `"schema"` with an otherwise identical record body. Both recorded
+/// every L2 miss cycle; schema 3 has the same layout, but the list is
+/// empty unless the run turned recording on
+/// (`MemSystemConfig::record_miss_cycles`), so decoding drops the list
+/// from older lines and a result cached before the change equals a
+/// fresh run.
+pub const KNOWN_SCHEMAS: &[u64] = &[1, 2, JOURNAL_SCHEMA];
+
+/// The first schema whose `l2_miss_cycles` is recorded only on request.
+const OPT_IN_MISS_CYCLES_SCHEMA: u64 = 3;
 
 /// Encodes one journal line (no trailing newline).
 pub fn encode_line(spec: &RunSpec, result: &RunResult) -> String {
@@ -697,10 +705,13 @@ fn read_line(line: &str) -> Result<(RunSpec, RunResult), String> {
     if hash != format!("{:016x}", spec_hash(&spec)) {
         return Err("spec hash mismatch".into());
     }
-    let result = RunResult {
+    let mut result = RunResult {
         spec: spec.clone(),
         ..result
     };
+    if schema < OPT_IN_MISS_CYCLES_SCHEMA {
+        result.l2_miss_cycles = Vec::new();
+    }
     Ok((spec, result))
 }
 
@@ -771,20 +782,35 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_lines_still_decode() {
-        let (spec, result) = sample();
-        let legacy = encode_line(&spec, &result).replace("\"schema\":2", "\"v\":1");
-        assert_eq!(line_schema(&legacy), Some(1));
-        let (dspec, dresult) = decode_line(&legacy).expect("legacy decodes");
-        assert_eq!(dspec, spec);
-        assert_eq!(dresult, result);
+    fn legacy_lines_decode_without_their_miss_list() {
+        let (spec, mut result) = sample();
+        result.l2_miss_cycles = vec![1_000, 1_040, 1_400];
+        let line = encode_line(&spec, &result);
+        assert_eq!(
+            decode_line(&line),
+            Some((spec.clone(), result.clone())),
+            "a schema-3 line keeps the list it recorded"
+        );
+        let dropped = RunResult {
+            l2_miss_cycles: Vec::new(),
+            ..result
+        };
+        for (old_schema, field) in [(1, "\"v\":1"), (2, "\"schema\":2")] {
+            let old = line.replace("\"schema\":3", field);
+            assert_eq!(line_schema(&old), Some(old_schema));
+            assert_eq!(
+                decode_line(&old),
+                Some((spec.clone(), dropped.clone())),
+                "a schema-{old_schema} line decodes with an empty miss list"
+            );
+        }
     }
 
     #[test]
     fn unknown_schema_records_are_skipped_on_resume() {
         let (spec, result) = sample();
         let good = encode_line(&spec, &result);
-        let future = good.replace("\"schema\":2", "\"schema\":99");
+        let future = good.replace("\"schema\":3", "\"schema\":99");
         assert!(
             decode_line(&future).is_none(),
             "an unknown schema must not decode"

@@ -16,6 +16,9 @@
 //! - Counters are exact up to 2^53 ([`MAX_EXACT`]): `Reader::u64`
 //!   and [`Json::as_u64`] accept that range and nothing else, because
 //!   the encoder writes larger numbers as floats.
+//! - It recurses once per nesting level, and rejects a document nested
+//!   deeper than [`MAX_DEPTH`], so hostile input cannot overflow the
+//!   stack.
 //!
 //! Typed decoders (the journal's specs and results, split records and
 //! manifests) pull fields from a `Reader` with `read_fields!`
@@ -29,6 +32,12 @@ use std::fmt::Write as _;
 
 /// The largest counter a JSON number carries exactly (2^53).
 pub const MAX_EXACT: u64 = 1 << 53;
+
+/// The deepest nesting of arrays and objects a document may have. The
+/// reader recurses once per level, so the cap bounds its stack use on
+/// hostile input (a wire frame of 16 MiB of `[`); a journal line, the
+/// deepest real document, nests five levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,12 +227,18 @@ enum Number {
 pub(crate) struct Reader<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `text`.
     pub fn new(text: &'a str) -> Reader<'a> {
-        Reader { text, pos: 0 }
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// Ends the document: only whitespace may follow the last value.
@@ -244,6 +259,7 @@ impl<'a> Reader<'a> {
     ) -> Result<(), String> {
         self.open(b'{')?;
         if self.eat(b'}') {
+            self.depth -= 1;
             return Ok(());
         }
         loop {
@@ -265,6 +281,7 @@ impl<'a> Reader<'a> {
     ) -> Result<(), String> {
         self.open(b'[')?;
         if self.eat(b']') {
+            self.depth -= 1;
             return Ok(());
         }
         loop {
@@ -411,10 +428,18 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Consumes a container's opening bracket and the whitespace after.
+    /// Consumes a container's opening bracket and the whitespace after;
+    /// an error past [`MAX_DEPTH`] open containers.
     fn open(&mut self, open: u8) -> Result<(), String> {
         self.skip_ws();
         self.expect(open)?;
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos - 1
+            ));
+        }
+        self.depth += 1;
         self.skip_ws();
         Ok(())
     }
@@ -426,6 +451,7 @@ impl<'a> Reader<'a> {
         if self.eat(b',') {
             Ok(false)
         } else if self.eat(close) {
+            self.depth -= 1;
             Ok(true)
         } else {
             Err(format!(
@@ -688,6 +714,22 @@ mod tests {
             read_pair(r#"{"a":1,"list":[]} 5"#).is_err(),
             "trailing bytes"
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        // Siblings do not add up: depth is the open containers, not
+        // the containers seen.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "0" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // Hostile depth fails cleanly instead of overflowing the stack.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -52,7 +52,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Record schema of the split store (manifest + interval journal).
-pub const SPLIT_SCHEMA: u64 = 1;
+/// Schema 2 stores results without miss-cycle lists (see
+/// [`crate::journal::KNOWN_SCHEMAS`]); a schema-1 store is re-swept.
+pub const SPLIT_SCHEMA: u64 = 2;
 
 /// Histogram: wall microseconds of the serial snapshot sweep.
 pub const METRIC_SPLIT_SWEEP: &str = "mlpwin_split_sweep_us";

@@ -10,12 +10,16 @@
 //!   optional watchdog, deadline and interval fields; results cover
 //!   counters up to 2^53, empty and long arrays and fractional floats.
 //! - **Layout freedom** — shuffled keys and extra unknown keys at any
-//!   depth still decode to the same entry; a legacy `"v":1` line too.
+//!   depth still decode to the same entry; a legacy `"v":1` line too,
+//!   less its miss-cycle list.
 //! - **Strictness** — dropping any field, or giving it a value of the
 //!   wrong type, rejects the line.
 //! - **No panics** — every truncation of a sample line is rejected, and
 //!   every seeded one-byte mutation is either rejected or decodes to an
 //!   entry whose re-encoded line decodes again (its hash verifies).
+//! - **Bounded nesting** — a line carrying 100k open arrays, under an
+//!   unknown key or in place of a field, is rejected without a stack
+//!   overflow.
 
 use mlpwin_branch::PredictorStats;
 use mlpwin_memsys::ProvenanceStats;
@@ -292,8 +296,13 @@ fn shuffled_keys_and_unknown_keys_still_decode() {
         assert_eq!(dspec, spec, "entry {n}: spec");
         assert_eq!(dresult, result, "entry {n}: result");
     }
+    // A legacy line decodes with its miss-cycle list dropped.
     let (spec, result) = random_entry(&mut rng);
-    let legacy = encode_line(&spec, &result).replace("\"schema\":2", "\"v\":1");
+    let legacy = encode_line(&spec, &result).replace("\"schema\":3", "\"v\":1");
+    let result = RunResult {
+        l2_miss_cycles: Vec::new(),
+        ..result
+    };
     assert_eq!(decode_line(&legacy), Some((spec, result)), "legacy v1 line");
 }
 
@@ -412,4 +421,21 @@ fn truncations_and_byte_mutations_never_panic() {
         0 < accepted && accepted < 3_000,
         "the mutations exercise both outcomes ({accepted} of 3000 decoded)"
     );
+}
+
+#[test]
+fn hostile_nesting_is_rejected_without_overflow() {
+    let mut rng = Lcg(0xDEE9_DEE9_0000_0005);
+    let (spec, result) = random_entry(&mut rng);
+    let line = encode_line(&spec, &result);
+    let deep = "[".repeat(100_000);
+    let unknown_key = line.replacen('{', &format!("{{\"deep\":{deep},"), 1);
+    assert!(decode_line(&unknown_key).is_none(), "under an unknown key");
+    let as_field = line.replacen(
+        "\"l2_miss_cycles\":[",
+        &format!("\"l2_miss_cycles\":{deep}"),
+        1,
+    );
+    assert!(decode_line(&as_field).is_none(), "in place of a field");
+    assert!(Json::parse(&deep).is_err(), "as a whole document");
 }

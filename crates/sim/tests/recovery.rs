@@ -14,14 +14,24 @@ use mlpwin_sim::supervisor::SuperviseOutcome;
 use mlpwin_sim::{signals, spec_hash, Journal, MatrixConfig, SimModel, Supervisor};
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 const WORKER: &str = env!("CARGO_BIN_EXE_mlpwin-sim");
 
-/// The in-process interrupt flag is process-global; tests that touch it
-/// serialize on this lock (worker-process tests don't need it).
+/// The in-process interrupt flag is process-global. Every test that sets
+/// it, or runs specs in this process that poll it (any run with
+/// snapshots), holds this lock; worker-process tests don't need it.
 static SIGNAL_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`SIGNAL_LOCK`] with the flag cleared. A sibling that failed
+/// while holding the lock poisons it; the flag is reset here anyway, so
+/// the poison is ignored rather than failing every later test too.
+fn signal_guard() -> MutexGuard<'static, ()> {
+    let guard = SIGNAL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    signals::reset();
+    guard
+}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mlpwin-recovery-{tag}-{}", std::process::id()));
@@ -203,12 +213,11 @@ fn sigterm_exits_resumable_and_the_rerun_completes() {
 
 #[test]
 fn in_process_interrupt_leaves_a_resumable_snapshot() {
-    let _guard = SIGNAL_LOCK.lock().expect("signal lock");
+    let _guard = signal_guard();
     let dir = scratch("inproc");
     let policy = SnapshotPolicy::in_dir(dir.join("snaps")).every(300);
     let spec = RunSpec::new("milc", SimModel::Dynamic).with_budget(2_000, 3_000);
 
-    signals::reset();
     signals::request_interrupt();
     let err = std::panic::catch_unwind(|| run_recoverable(&spec, &policy))
         .expect_err("an interrupted run unwinds");
@@ -231,12 +240,11 @@ fn in_process_interrupt_leaves_a_resumable_snapshot() {
 
 #[test]
 fn corrupt_snapshot_heals_to_an_older_generation_or_fresh_start() {
-    let _guard = SIGNAL_LOCK.lock().expect("signal lock");
+    let _guard = signal_guard();
     let dir = scratch("heal");
     let policy = SnapshotPolicy::in_dir(dir.join("snaps")).every(250);
     let spec = RunSpec::new("soplex", SimModel::Base).with_budget(1_500, 2_500);
 
-    signals::reset();
     signals::request_interrupt();
     let _ = std::panic::catch_unwind(|| run_recoverable(&spec, &policy));
     signals::reset();
@@ -286,7 +294,7 @@ fn corrupt_snapshot_heals_to_an_older_generation_or_fresh_start() {
 
 #[test]
 fn interrupted_matrix_reports_and_resumes() {
-    let _guard = SIGNAL_LOCK.lock().expect("signal lock");
+    let _guard = signal_guard();
     let dir = scratch("matrix");
     let specs = vec![
         RunSpec::new("gcc", SimModel::Base).with_budget(1_000, 1_000),
@@ -299,7 +307,6 @@ fn interrupted_matrix_reports_and_resumes() {
         ..MatrixConfig::default()
     };
 
-    signals::reset();
     signals::request_interrupt();
     let outcomes = run_matrix_with(&specs, &config).expect("no journal I/O error");
     assert!(
@@ -318,6 +325,9 @@ fn interrupted_matrix_reports_and_resumes() {
 
 #[test]
 fn panicking_spec_with_snapshots_keeps_the_retry_contract() {
+    // Its snapshot sink polls the interrupt flag: a sibling's interrupt
+    // would unwind the healthy spec too.
+    let _guard = signal_guard();
     let dir = scratch("retry");
     let specs = vec![
         RunSpec::new("gcc", SimModel::Base)

@@ -19,10 +19,13 @@
 //!   journal line, and a journal line with half a million miss cycles,
 //!   each decode well inside a generous wall budget (a parser quadratic
 //!   in the string length takes minutes on the first).
+//! - **Nesting is bounded** — a frame whose payload opens 100k arrays is
+//!   a typed `Corrupt` error, not a stack overflow.
 
+use mlpwin_isa::snap::crc32;
 use mlpwin_sim::journal::{decode_line, encode_line};
 use mlpwin_sim::runner::{run, RunResult, RunSpec};
-use mlpwin_sim::wire::{encode_frame, read_frame, FaultAction, Msg, NetFault, WireError};
+use mlpwin_sim::wire::{encode_frame, read_frame, FaultAction, Msg, NetFault, WireError, MAGIC};
 use mlpwin_sim::SimModel;
 use std::io::Cursor;
 use std::time::{Duration, Instant};
@@ -215,7 +218,8 @@ fn netfault_rates_hold_statistically_and_replay_exactly() {
 const LINEAR_BUDGET: Duration = Duration::from_secs(5);
 
 /// A real result whose miss-cycle list is stretched to `misses`
-/// ascending cycles, as a long memory-bound run journals them.
+/// ascending cycles, as a long memory-bound run records them when miss
+/// recording is on.
 fn result_with_misses(misses: u64) -> (RunSpec, RunResult) {
     let spec = RunSpec::new("mcf", SimModel::Dynamic).with_budget(2_000, 2_000);
     let mut result = run(&spec).expect("healthy run");
@@ -249,4 +253,20 @@ fn half_million_miss_cycles_decode_in_linear_time() {
     let took = start.elapsed();
     assert_eq!(decoded, (spec, result));
     assert!(took < LINEAR_BUDGET, "decoding took {took:?}");
+}
+
+#[test]
+fn hundred_thousand_open_brackets_are_a_typed_error() {
+    // A well-formed frame (magic, length, CRC) around a hostile payload.
+    let payload = "[".repeat(100_000).into_bytes();
+    let mut frame = MAGIC.to_vec();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    match read_frame(&mut Cursor::new(&frame)) {
+        Err(WireError::Corrupt { detail }) => {
+            assert!(detail.contains("nesting deeper than 64"), "{detail}")
+        }
+        other => panic!("want a Corrupt error, got {other:?}"),
+    }
 }

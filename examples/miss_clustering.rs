@@ -16,7 +16,9 @@ use mlpwin::sim::report::{histogram, intervals};
 use mlpwin::workloads::profiles;
 
 fn miss_cycles(profile: &str) -> Vec<u64> {
-    let (config, policy) = WindowModel::Base.build(CoreConfig::default());
+    let (mut config, policy) = WindowModel::Base.build(CoreConfig::default());
+    // Miss-cycle recording is opt-in: only histograms like this read it.
+    config.memory.record_miss_cycles = true;
     let w = profiles::by_name(profile, 1).expect("profile");
     let mut cpu = Core::new(config, w, policy);
     cpu.run_warmup(150_000).expect("warm-up must not stall");

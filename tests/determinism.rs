@@ -2,13 +2,27 @@
 //! (profile, model, seed, budgets) — across repeated executions, across
 //! thread counts, and across all models.
 
+use mlpwin::ooo::Core;
 use mlpwin::sim::runner::{run, run_matrix, RunSpec};
 use mlpwin::sim::SimModel;
+use mlpwin::workloads::profiles;
 
 fn spec(profile: &str, model: SimModel, seed: u64) -> RunSpec {
     let mut s = RunSpec::new(profile, model).with_budget(10_000, 5_000);
     s.seed = seed;
     s
+}
+
+/// The L2 miss cycles of `spec`, run with miss-cycle recording on (it
+/// is off by default, leaving the list empty).
+fn recorded_miss_cycles(spec: &RunSpec) -> Vec<u64> {
+    let (mut config, policy) = spec.model.build();
+    config.memory.record_miss_cycles = true;
+    let workload = profiles::by_name(&spec.profile, spec.seed).expect("known profile");
+    let mut core = Core::try_new(config, workload, policy).expect("valid config");
+    core.run_warmup(spec.warmup).expect("healthy warm-up");
+    core.run(spec.insts).expect("healthy run");
+    core.mem().stats().l2_demand_miss_cycles.clone()
 }
 
 #[test]
@@ -24,7 +38,10 @@ fn repeated_runs_are_bit_identical() {
         let b = run(&spec("soplex", model, 1)).expect("healthy run");
         assert_eq!(a.stats, b.stats, "{model:?} not deterministic");
         assert_eq!(a.provenance, b.provenance);
-        assert_eq!(a.l2_miss_cycles, b.l2_miss_cycles);
+        let a = recorded_miss_cycles(&spec("soplex", model, 1));
+        let b = recorded_miss_cycles(&spec("soplex", model, 1));
+        assert!(!a.is_empty(), "{model:?}: soplex misses in L2");
+        assert_eq!(a, b, "{model:?}: miss cycles not deterministic");
     }
 }
 
