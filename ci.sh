@@ -29,12 +29,10 @@ if ! grep -q '"correct": true' <<< "$bench_line"; then
     exit 1
 fi
 
-echo "==> Fig. 4 golden output (the one reader of recorded miss cycles)"
-# Miss-cycle recording is opt-in and only fig4 turns it on for a paper
-# output; its histogram must regenerate byte-identically.
-cargo run --release -q -p mlpwin-bench --bin fig4 > target/ci-artifacts/fig4.txt
-diff results/fig4.txt target/ci-artifacts/fig4.txt
-echo "    fig4 output matches results/fig4.txt"
+echo "==> golden paper outputs (mlpwin-figs --check against results/)"
+# Every table, figure, ablation and study regenerates at its default
+# budget and must match its results/<name>.txt byte for byte.
+cargo run --release -q -p mlpwin-bench --bin mlpwin-figs -- --check
 
 echo "==> mlpwin-bench --smoke (BENCH.json schema gate)"
 cargo run --release -q -p mlpwin-bench --bin mlpwin-bench -- --smoke --out results/BENCH_smoke.json

@@ -12,7 +12,7 @@
 //!   memory, predictor and provenance statistics.
 //! - [`report`] holds the shared presentation helpers: geometric means,
 //!   aligned text tables, histograms, CPI-stack attribution and the
-//!   normalized-series helpers every `fig*`/`table*` binary uses.
+//!   normalized-series helpers every `fig*`/`table*` report uses.
 //! - [`chrome_trace`] exports a run's interval time series and
 //!   structured trace events as Chrome `trace_event` JSON for
 //!   `chrome://tracing` / Perfetto.

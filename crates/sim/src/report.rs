@@ -1,11 +1,11 @@
-//! Report helpers shared by every table/figure binary: geometric means,
+//! Report helpers shared by every table/figure report: geometric means,
 //! aligned text tables, histograms and series normalization.
 
 use mlpwin_isa::Cycle;
 use mlpwin_ooo::{CoreStats, CpiBucket};
 use std::fmt;
 
-/// Why a report helper could not produce a value. The figure binaries
+/// Why a report helper could not produce a value. The figure reports
 /// use the `try_*` variants so a degenerate input (every spec of a
 /// profile failed, say) prints a diagnostic instead of panicking
 /// mid-report.
@@ -216,7 +216,7 @@ pub fn normalize(values: &[f64], base: f64) -> Vec<f64> {
 /// Renders a run's per-level CPI-stack attribution: one row per level
 /// the run actually visited (each bucket as a percentage of that
 /// level's cycles) plus an `all` row over the whole run. The figure
-/// binaries print this under their headline tables.
+/// reports print this under their headline tables.
 pub fn cpi_stack_table(stats: &CoreStats) -> String {
     let mut headers = vec!["level".to_string(), "cycles".to_string()];
     headers.extend(CpiBucket::ALL.iter().map(|b| b.label().to_string()));

@@ -654,7 +654,7 @@ pub fn all() -> Vec<ProfileParams> {
 /// These are deliberately **not** part of the paper's Table 3 roster —
 /// [`all`] stays at exactly 28 entries, as asserted throughout the repo
 /// — but they resolve through [`params_by_name`]/[`by_name`] like any
-/// built-in profile, so figure bins and bench rows can exercise the
+/// built-in profile, so figure reports and bench rows can exercise the
 /// sparse-event regime (long quiet stretches punctuated by bursts of
 /// independent fills) that event-driven core scheduling targets.
 ///
