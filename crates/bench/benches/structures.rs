@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the simulator's hot structures: the cache probe
-//! path, the memory hierarchy, the branch predictor, the stride
-//! prefetcher and the workload generator. These are the per-cycle inner
+//! path, the memory hierarchy, the MSHR lookup, the core's event wheel,
+//! the branch predictor, the stride prefetcher and the workload
+//! generator. These are the per-cycle inner
 //! loops; their cost is what makes the 28×7 experiment matrix tractable.
 //!
 //! Self-contained harness (no external benchmarking crate — the build
@@ -10,9 +11,10 @@
 use mlpwin_branch::{BranchPredictor, PredictorConfig};
 use mlpwin_isa::{ArchReg, Instruction, Xoshiro256StarStar};
 use mlpwin_memsys::{
-    AccessKind, Cache, CacheConfig, MemSystem, MemSystemConfig, PathKind, StrideConfig,
+    AccessKind, Cache, CacheConfig, MemSystem, MemSystemConfig, MshrFile, PathKind, StrideConfig,
     StridePrefetcher,
 };
+use mlpwin_ooo::EventWheel;
 use mlpwin_workloads::{profiles, Workload};
 use std::hint::black_box;
 use std::time::Instant;
@@ -50,6 +52,40 @@ fn main() {
         now += 3;
         let addr = rng.range(1 << 26) * 8;
         black_box(mem.access(AccessKind::Load, 0x400, addr, now, PathKind::Correct));
+    });
+
+    // An L1D hit asks whether its line is still in flight; here 200 of
+    // the 256 MSHRs hold fills, none for the probed lines.
+    let mut mshr = MshrFile::new(256);
+    for i in 0..200u64 {
+        mshr.begin_miss(i * 64, 0);
+        mshr.set_completion(i * 64, 1_000_000 + i);
+    }
+    let mut rng = Xoshiro256StarStar::seed_from(4);
+    bench("mshr_pending_l1d_hit_200_fills", || {
+        let line = (1 << 30) + rng.range(1 << 16) * 64;
+        black_box(mshr.pending(black_box(line)));
+    });
+
+    // One stepped cycle at the ilp workload's rate: five events posted
+    // a few cycles ahead over a 512-entry ROB, then the due slot drained.
+    let mut wheel = EventWheel::with_capacity(512);
+    let mut due = Vec::new();
+    let mut rng = Xoshiro256StarStar::seed_from(5);
+    let (mut now, mut seq) = (0u64, 0u64);
+    bench("event_wheel_post5_drain", || {
+        now += 1;
+        for _ in 0..5 {
+            seq += 1;
+            wheel.post(now + 1 + rng.range(12), seq);
+        }
+        while wheel
+            .drain_due(now, seq.saturating_sub(400), &mut due)
+            .is_some()
+        {
+            black_box(&due);
+            due.clear();
+        }
     });
 
     let mut bp = BranchPredictor::new(PredictorConfig::default());

@@ -75,18 +75,17 @@ pub(super) fn swmlp_specs(b: &Budget) -> Vec<RunSpec> {
 /// (the memory system saturates at the base window, so the enlarged
 /// window the miss-driven policy picks buys nothing — misses are not
 /// marginal MLP); `hash-probe`'s narrower batches leave headroom the
-/// dynamic window harvests. All three spend most host cycles in the
-/// sparse-event regime the event engine bulk-advances (the `skip`
-/// column).
+/// dynamic window harvests. Every column is a simulated result; host
+/// telemetry (skip fraction, event traffic) stays out of the golden so
+/// engine knobs and event-queue internals cannot change it.
 pub(super) fn swmlp(ctx: &Ctx, out: &mut dyn Write) -> Result<(), FigsError> {
     let mut t = TextTable::new(vec![
-        "program", "model", "IPC", "vs base", "load lat", "avg lvl", "skip", "ev/kcyc",
+        "program", "model", "IPC", "vs base", "load lat", "avg lvl",
     ]);
     for p in SWMLP_PROGRAMS {
         let base_ipc = ctx.run(p, SimModel::Base).ipc();
         for m in SWMLP_MODELS {
             let r = ctx.run(p, m);
-            let kcycles = (r.stats.cycles as f64 / 1e3).max(1e-9);
             // Residency-weighted mean window level, 1-based like Fig. 2.
             let avg_level = r
                 .stats
@@ -103,8 +102,6 @@ pub(super) fn swmlp(ctx: &Ctx, out: &mut dyn Write) -> Result<(), FigsError> {
                 format!("{:.2}x", r.ipc() / base_ipc),
                 format!("{:.1}", r.avg_load_latency),
                 format!("{:.2}", avg_level),
-                format!("{:.0}%", r.engine.skip_fraction() * 100.0),
-                format!("{:.1}", r.engine.events_posted as f64 / kcycles),
             ]);
         }
     }

@@ -125,7 +125,7 @@ pub struct Core<W> {
     fu: FuPool,
 
     /// (ready_time, seq) of instructions whose operands will be ready —
-    /// a calendar queue whose head doubles as the fast-forward's
+    /// an event wheel whose earliest time doubles as the fast-forward's
     /// operand-wakeup bound.
     pending_ready: EventWheel,
     /// Instructions ready to issue now; the select loop walks the ring
@@ -135,8 +135,10 @@ pub struct Core<W> {
     /// by age (oldest at the front).
     blocked_loads: VecDeque<DynSeq>,
     /// (complete_at, seq) execution-completion events — the writeback
-    /// stage's calendar queue, and the fast-forward's completion bound.
+    /// stage's event wheel, and the fast-forward's completion bound.
     completions: EventWheel,
+    /// Reused buffer a wheel drains one due slot's seqs into.
+    due: Vec<DynSeq>,
 
     alloc_stall_until: Cycle,
     shrink_wait: bool,
@@ -263,8 +265,8 @@ impl<W: Workload> Core<W> {
         #[cfg(feature = "trace")]
         let tracer = config.trace.map(Tracer::new);
         // Size every hot-path container to the largest level up front:
-        // the ROB ring then never reallocates, even across enlarges (the
-        // event wheels allocate their slot table eagerly on their own).
+        // the ROB ring then never reallocates, even across enlarges, and
+        // the ready ring and event wheels get one bit per ROB slot.
         let max_rob = config.max_level_spec().rob;
         Ok(Core {
             fu: FuPool::new(config.fu_counts),
@@ -278,12 +280,13 @@ impl<W: Workload> Core<W> {
             next_dyn: 1,
             rob: VecDeque::with_capacity(max_rob),
             iq_occ: 0,
-            lsq: Lsq::new(),
+            lsq: Lsq::new(max_rob),
             rename: RenameMap::new(),
-            pending_ready: EventWheel::new(),
+            pending_ready: EventWheel::with_capacity(max_rob),
             ready: ReadyRing::with_capacity(max_rob),
             blocked_loads: VecDeque::new(),
-            completions: EventWheel::new(),
+            completions: EventWheel::with_capacity(max_rob),
+            due: Vec::new(),
             alloc_stall_until: 0,
             shrink_wait: false,
             l2_miss_events: 0,
@@ -588,8 +591,8 @@ impl<W: Workload> Core<W> {
     /// stepping would have charged.
     ///
     /// The next-event bound comes from [`next_wake`](Core::next_wake) —
-    /// the typed plan over every wake-up source: the two calendar
-    /// queues' heads, the runahead episode end, the allocation stall's
+    /// the typed plan over every wake-up source: the two event wheels'
+    /// earliest times, the runahead episode end, the allocation stall's
     /// expiry, fetch's own resume time, the policy's quiet horizon, the
     /// interval/snapshot epoch boundaries, the watchdog / deadline trip
     /// points (so errors fire on the identical cycle), and — in
@@ -683,10 +686,10 @@ impl<W: Workload> Core<W> {
     /// and the event-driven loop share one source of truth instead of
     /// each re-scanning the state ad hoc.
     ///
-    /// The per-instruction sources are the two calendar queues' heads;
-    /// the rest are scalar horizons folded in directly (posting them as
-    /// queue entries would mean cancel/reschedule churn every time one
-    /// moves, for no gain — the fold *is* the pop). In event-driven mode
+    /// The per-instruction sources are the two event wheels' earliest
+    /// times; the rest are scalar horizons folded in directly (posting
+    /// them as wheel events would mean re-posting every time one moves,
+    /// for no gain — the fold *is* the drain). In event-driven mode
     /// the memory system's [`next_event_at`](MemSystem::next_event_at)
     /// contract joins the plan, so in-flight fills the core holds no
     /// completion event for (prefetches, wrong-path orphans) wake the
@@ -768,7 +771,7 @@ impl<W: Workload> Core<W> {
         self.ff_cycles
     }
 
-    /// Event-engine telemetry: calendar-queue traffic and the
+    /// Event-engine telemetry: event-wheel traffic and the
     /// skipped-versus-stepped cycle split over the core's lifetime
     /// (warm-up included). Host-side diagnostics, deliberately outside
     /// [`CoreStats`] and the snapshot image — like `ff_cycles` — so A/B
@@ -980,17 +983,20 @@ impl<W: Workload> Core<W> {
         self.lsq.save_state(w);
         self.rename.save_state(w);
         self.fu.save_state(w);
-        // The event wheels travel as sorted (time, seq) pairs — the
-        // representation-free form the heap-based scheduler also wrote,
-        // so images are interchangeable across scheduler generations.
-        let pending = self.pending_ready.sorted_events();
+        // The event wheels travel as sorted (time, seq) pairs, each seq
+        // read back from the ROB head — the layout the heap- and
+        // bucket-based schedulers also wrote (theirs could hold
+        // duplicates and stale seqs, which restore accepts), so images
+        // are interchangeable across scheduler generations.
+        let head = self.rob_head();
+        let pending = self.pending_ready.sorted_events(head);
         w.put_seq(pending.iter(), |w, &(t, s)| {
             w.put_u64(t);
             w.put_u64(s);
         });
         self.ready.save_state(w);
         w.put_seq(self.blocked_loads.iter(), |w, &s| w.put_u64(s));
-        let completions = self.completions.sorted_events();
+        let completions = self.completions.sorted_events(head);
         w.put_seq(completions.iter(), |w, &(t, s)| {
             w.put_u64(t);
             w.put_u64(s);
@@ -1131,6 +1137,12 @@ impl<W: Workload> Core<W> {
 
     // ------------------------------------------------------------ helpers
 
+    /// The oldest live sequence number (`next_dyn` when the ROB is
+    /// empty) — where the ready ring and event wheels start their walks.
+    fn rob_head(&self) -> DynSeq {
+        self.rob.front().map_or(self.next_dyn, |d| d.dyn_seq)
+    }
+
     fn rob_idx(&self, seq: DynSeq) -> Option<usize> {
         let front = self.rob.front()?.dyn_seq;
         if seq < front {
@@ -1196,17 +1208,34 @@ impl<W: Workload> Core<W> {
     // ---------------------------------------------------------- writeback
 
     fn writeback(&mut self, now: Cycle) {
-        while let Some((t, seq)) = self.completions.pop_due(now) {
-            let Some(i) = self.rob_idx(seq) else { continue };
-            let d = &mut self.rob[i];
-            if d.completed || d.complete_at != t {
-                continue; // squash-then-reuse or stale event
+        let mut due = std::mem::take(&mut self.due);
+        while let Some(t) = self.completions.drain_due(now, self.rob_head(), &mut due) {
+            // A wheel bit names a ROB slot, so `seq` may stand for a
+            // duplicate post or for a squashed, retired or pseudo-retired
+            // instruction that once held the slot. The filter makes that
+            // exact: `complete_at` is only ever set together with a post
+            // of `(complete_at, seq)` (or together with `completed`, by a
+            // runahead force-INV), so a live instruction that passes
+            // `!completed && complete_at == t` always has its own event
+            // at `t`; a stale bit either fails the filter or coincides
+            // with that event, and `completed` makes a second act a no-op.
+            // Seqs resolve oldest first, after the whole slot is drained:
+            // a mispredicted branch squashes the younger ones, which then
+            // fail `rob_idx`, exactly as their separate pops did.
+            for &seq in &due {
+                let Some(i) = self.rob_idx(seq) else { continue };
+                let d = &mut self.rob[i];
+                if d.completed || d.complete_at != t {
+                    continue; // squash-then-reuse or stale event
+                }
+                d.completed = true;
+                if d.is_branch() {
+                    self.resolve_branch(i, now);
+                }
             }
-            d.completed = true;
-            if d.is_branch() {
-                self.resolve_branch(i, now);
-            }
+            due.clear();
         }
+        self.due = due;
     }
 
     fn resolve_branch(&mut self, idx: usize, now: Cycle) {
@@ -1263,7 +1292,7 @@ impl<W: Workload> Core<W> {
             s = r + 1;
         }
         // Reuse the squashed sequence numbers so ROB dyn_seqs stay
-        // contiguous (rob_idx relies on it). Stale heap entries naming a
+        // contiguous (rob_idx relies on it). Stale wheel bits naming a
         // reused seq are filtered: completions check complete_at and
         // pending_ready checks ready_time against the live instruction.
         self.next_dyn = seq + 1;
@@ -1563,15 +1592,28 @@ impl<W: Workload> Core<W> {
         // could change a blocked load's outcome on the next retry.
         self.issue_quiesced = true;
 
-        // Promote instructions whose operands have arrived.
-        while let Some((t, seq)) = self.pending_ready.pop_due(now) {
-            if let Some(i) = self.rob_idx(seq) {
-                let d = &self.rob[i];
-                if !d.issued && d.unresolved_srcs == 0 && d.ready_time == t {
-                    self.ready.insert(seq);
+        // Promote instructions whose operands have arrived. As in
+        // writeback, a bit may stand for a duplicate post or a stale seq
+        // that once held the ROB slot; the filter keeps that exact:
+        // `ready_time` is only ever set together with a post of
+        // `(ready_time, seq)`, so a live instruction passing
+        // `!issued && unresolved_srcs == 0 && ready_time == t` has its
+        // own event at `t`, a stale bit either fails the filter or
+        // coincides with that event, and the ready-ring insert is
+        // idempotent.
+        let mut due = std::mem::take(&mut self.due);
+        while let Some(t) = self.pending_ready.drain_due(now, self.rob_head(), &mut due) {
+            for &seq in &due {
+                if let Some(i) = self.rob_idx(seq) {
+                    let d = &self.rob[i];
+                    if !d.issued && d.unresolved_srcs == 0 && d.ready_time == t {
+                        self.ready.insert(seq);
+                    }
                 }
             }
+            due.clear();
         }
+        self.due = due;
 
         // Retry loads blocked behind stores (oldest first); they consume
         // a cache port but not issue-queue bandwidth. Rotating the deque
@@ -1603,7 +1645,7 @@ impl<W: Workload> Core<W> {
         // walk sees exactly the set as it stood at loop entry.
         let mut issued = 0;
         let end = self.next_dyn;
-        let mut cursor = self.rob.front().map_or(end, |d| d.dyn_seq);
+        let mut cursor = self.rob_head();
         while issued < self.cfg.issue_width {
             let Some(seq) = self.ready.next_at_or_after(cursor, end) else {
                 break;
@@ -2243,6 +2285,74 @@ mod tests {
         let mut plain = Core::new(cfg, w, Box::new(FixedLevelPolicy::new(0)));
         let without_sink = plain.run(5_000).expect("healthy profile must not stall");
         assert_eq!(with_sink, without_sink);
+    }
+
+    /// Encodes a wheel list exactly as `save_state` does.
+    fn encode_events(events: &[(Cycle, DynSeq)]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_seq(events.iter(), |w, &(t, s)| {
+            w.put_u64(t);
+            w.put_u64(s);
+        });
+        w.into_bytes()
+    }
+
+    /// Replaces the one occurrence of `from` in `bytes` with `to`.
+    fn splice(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at = bytes
+            .windows(from.len())
+            .position(|w| w == from)
+            .expect("list bytes present in the image");
+        [&bytes[..at], to, &bytes[at + from.len()..]].concat()
+    }
+
+    #[test]
+    fn restore_accepts_duplicate_stale_and_far_wheel_events() {
+        // A DRAM round trip longer than the wheel's horizon puts every
+        // in-flight miss's completion past it.
+        let mut cfg = CoreConfig {
+            snapshot_cycles: Some(500),
+            ..CoreConfig::default()
+        };
+        cfg.memory.dram.min_latency = crate::events::HORIZON as u32 + 100;
+        let (reference, taken) = capture_snapshots(&cfg, "mcf", 0, 2_000);
+        let taken = taken.borrow();
+        let (core, bytes, completions) = taken
+            .iter()
+            .find_map(|(_, bytes)| {
+                let w = profiles::by_name("mcf", 7).expect("profile");
+                let mut core = Core::new(cfg.clone(), w, Box::new(FixedLevelPolicy::new(0)));
+                core.restore(bytes).expect("restore must succeed");
+                let list = core.completions.sorted_events(core.rob_head());
+                let far = core.now + crate::events::HORIZON as Cycle;
+                (list.len() >= 2 && list.iter().any(|&(t, _)| t > far))
+                    .then(|| (core, bytes.clone(), list))
+            })
+            .expect("some image holds a completion past the horizon");
+        // The image an older sorted-bucket wheel could have written: the
+        // first event twice, plus events naming a retired seq — one at a
+        // queued time, one at a time nothing live waits for.
+        let head = core.rob_head();
+        let (t0, s0) = completions[0];
+        let mut crafted = completions.clone();
+        crafted.push((t0, s0));
+        crafted.push((t0, head.saturating_sub(1)));
+        crafted.push((core.now + 7, head.saturating_sub(2)));
+        crafted.sort_unstable();
+        let image = splice(
+            &bytes,
+            &encode_events(&completions),
+            &encode_events(&crafted),
+        );
+        assert_ne!(image, bytes);
+
+        let w = profiles::by_name("mcf", 7).expect("profile");
+        let mut resumed = Core::new(cfg, w, Box::new(FixedLevelPolicy::new(0)));
+        resumed
+            .restore(&image)
+            .expect("restore must accept the list");
+        let stats = resumed.resume_run().expect("resumed run must finish");
+        assert_eq!(stats, reference, "resume must be bit-identical");
     }
 
     #[test]
